@@ -34,8 +34,8 @@
 //! ## Backpressure
 //!
 //! Shard queues are bounded crossbeam channels (capacity
-//! [`ThreadedRunner::DEFAULT_EDGE_CAPACITY`](esp_stream::ThreadedRunner)
-//! by default, configurable like the threaded runner's edges). When a
+//! [`GatewayConfig::DEFAULT_EDGE_CAPACITY`] by default, configurable
+//! through [`GatewayConfig::edge_capacity`]). When a
 //! worker falls behind, reader threads block on the full queue, TCP flow
 //! control propagates to the sender, and the stall is recorded in a shared
 //! [`esp_stream::QueueStats`].

@@ -30,7 +30,7 @@ use esp_core::{Pipeline, Scope};
 use esp_durability::{DurabilityConfig, SnapshotMeta, SnapshotStore, WalWriter};
 use esp_receptors::framing::{FrameReader, FrameWriter, MAX_FRAME_LEN};
 use esp_receptors::wire;
-use esp_stream::{QueueStats, ThreadedRunner};
+use esp_stream::QueueStats;
 use esp_types::{Batch, Diagnostic, EspError, ReceptorId, ReceptorType, Result, TimeDelta, Ts};
 
 use crate::durability::DurabilityHooks;
@@ -45,6 +45,10 @@ pub(crate) const HELLO_MAGIC: u32 = 0x4553_5047;
 pub(crate) const PROTOCOL_VERSION: u16 = 1;
 /// Server's accept byte, sent after a valid hello.
 pub(crate) const ACK_OK: u8 = 0x01;
+/// How long a new connection may take to send its hello. A peer that
+/// stays silent longer is dropped, so it cannot pin a reader thread
+/// (and with it [`Gateway::finish`]) forever.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// Frame payload requesting a Prometheus-text metrics scrape on an
 /// ingest connection. Never a valid `wire::encode` frame (wrong magic),
@@ -80,9 +84,10 @@ pub struct GatewayConfig {
     pub addr: String,
     /// Number of worker pipelines to shard granules across.
     pub n_shards: usize,
-    /// Capacity of each bounded shard queue — the same knob as
-    /// [`ThreadedRunner::edge_capacity`]; a full queue blocks the reader
-    /// and lets TCP flow control push back on the sender.
+    /// Capacity of each bounded shard queue (default
+    /// [`GatewayConfig::DEFAULT_EDGE_CAPACITY`]); a full queue blocks the
+    /// reader and lets TCP flow control push back on the sender. Must be
+    /// non-zero (`E0503`).
     pub edge_capacity: usize,
     /// First epoch boundary.
     pub start: Ts,
@@ -107,14 +112,17 @@ pub struct GatewayConfig {
 }
 
 impl GatewayConfig {
-    /// Config with defaults: ephemeral localhost port, 4 shards, the
-    /// threaded runner's default edge capacity, 200 ms epochs, no
-    /// connection-count gating.
+    /// Default capacity of each bounded shard queue.
+    pub const DEFAULT_EDGE_CAPACITY: usize = 64;
+
+    /// Config with defaults: ephemeral localhost port, 4 shards,
+    /// [`GatewayConfig::DEFAULT_EDGE_CAPACITY`]-deep shard queues,
+    /// 200 ms epochs, no connection-count gating.
     pub fn new(groups: Vec<GatewayGroup>) -> GatewayConfig {
         GatewayConfig {
             addr: "127.0.0.1:0".into(),
             n_shards: 4,
-            edge_capacity: ThreadedRunner::DEFAULT_EDGE_CAPACITY,
+            edge_capacity: Self::DEFAULT_EDGE_CAPACITY,
             start: Ts::ZERO,
             period: TimeDelta::from_millis(200),
             min_connections: 1,
@@ -881,11 +889,13 @@ fn serve_connection(
 }
 
 /// Validate the client hello and return its bounded-lateness promise (ms).
-/// A promise above `max_lateness` (when set) refuses the connection: the
-/// socket closes without an ack.
+/// A promise above `max_lateness` (when set), or no complete hello within
+/// [`HANDSHAKE_TIMEOUT`], refuses the connection: the socket closes
+/// without an ack.
 fn handshake(stream: &mut TcpStream, max_lateness: Option<TimeDelta>) -> std::io::Result<u64> {
     use std::io::{Error, ErrorKind};
     let mut hello = [0u8; 14];
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     stream.read_exact(&mut hello)?;
     let magic = u32::from_be_bytes([hello[0], hello[1], hello[2], hello[3]]);
     let version = u16::from_be_bytes([hello[4], hello[5]]);
@@ -910,6 +920,8 @@ fn handshake(stream: &mut TcpStream, max_lateness: Option<TimeDelta>) -> std::io
         }
     }
     stream.write_all(&[ACK_OK])?;
+    // Data connections may idle between readings for as long as they like.
+    stream.set_read_timeout(None)?;
     Ok(lateness_ms)
 }
 

@@ -11,9 +11,8 @@
 //! and window-path counters) into one exposition document.
 //!
 //! Shard-queue backpressure is tracked through the shared
-//! [`esp_stream::QueueStats`] the gateway reuses from the threaded
-//! runner, registered in the same registry via
-//! [`QueueStats::registered`](esp_stream::QueueStats::registered).
+//! [`esp_stream::QueueStats`] counters, registered in the same registry
+//! via [`QueueStats::registered`](esp_stream::QueueStats::registered).
 //!
 //! Ordering audit: every atomic here is `Relaxed` (see the `esp_obs`
 //! crate docs for the blanket audit). All counters except `max_ts_ms`

@@ -55,9 +55,6 @@ pub struct GraphSpec {
     pub edges: Vec<GraphEdge>,
     /// Indices of nodes whose output is observed downstream.
     pub taps: Vec<usize>,
-    /// Planned bounded-queue capacity between threaded operators, when
-    /// known. `Some(0)` can never move a tuple and is rejected.
-    pub queue_capacity: Option<usize>,
 }
 
 impl GraphSpec {
@@ -92,7 +89,7 @@ impl GraphSpec {
 
     /// Check the topology and return every finding, sorted for
     /// presentation. Errors (cycles, arity mismatches, dangling
-    /// references, zero-capacity queues) make the plan unrunnable;
+    /// references) make the plan unrunnable;
     /// warnings (unconsumed outputs, no taps) flag work that would be
     /// silently discarded.
     pub fn validate(&self) -> Vec<Diagnostic> {
@@ -189,16 +186,6 @@ impl GraphSpec {
                     "push dataflow over bounded queues deadlocks on a cycle: every \
                      operator waits on its own downstream",
                 ),
-            );
-        }
-
-        if self.queue_capacity == Some(0) {
-            diags.push(
-                Diagnostic::error("E0407", "queue capacity 0 can never transfer a tuple")
-                    .with_note(
-                        "a bounded edge of capacity zero blocks the producer forever; \
-                         the threaded runner would deadlock on the first send",
-                    ),
             );
         }
 
@@ -335,8 +322,8 @@ impl GraphSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esp_stream::{Operator, ScriptedSource};
-    use esp_types::{Batch, Ts};
+    use esp_stream::ops::{PassThrough, UnionOp};
+    use esp_stream::{NodeId, ScriptedSource};
 
     fn src(name: &str) -> GraphNode {
         GraphNode {
@@ -366,7 +353,6 @@ mod tests {
             nodes: vec![src("in"), op("point", 1), op("smooth", 1)],
             edges: vec![edge(0, 1, 0), edge(1, 2, 0)],
             taps: vec![2],
-            queue_capacity: Some(64),
         };
         assert!(codes(&spec).is_empty(), "{:?}", spec.validate());
     }
@@ -377,7 +363,6 @@ mod tests {
             nodes: vec![op("a", 1), op("b", 1)],
             edges: vec![edge(0, 1, 0), edge(1, 0, 0)],
             taps: vec![1],
-            queue_capacity: None,
         };
         assert!(codes(&spec).contains(&"E0401"), "{:?}", spec.validate());
     }
@@ -388,7 +373,6 @@ mod tests {
             nodes: vec![op("a", 1)],
             edges: vec![edge(0, 0, 0)],
             taps: vec![0],
-            queue_capacity: None,
         };
         assert!(codes(&spec).contains(&"E0401"));
     }
@@ -399,7 +383,6 @@ mod tests {
             nodes: vec![src("in"), op("smooth", 1)],
             edges: vec![edge(0, 1, 0)],
             taps: vec![],
-            queue_capacity: None,
         };
         let diags = spec.validate();
         let codes: Vec<_> = diags.iter().map(|d| d.code).collect();
@@ -423,7 +406,6 @@ mod tests {
             ],
             edges: vec![edge(0, 1, 0), edge(1, 2, 0), edge(0, 3, 0), edge(3, 4, 0)],
             taps: vec![2],
-            queue_capacity: None,
         };
         let diags = spec.validate();
         let dead: Vec<_> = diags
@@ -450,7 +432,6 @@ mod tests {
             nodes: vec![op("orphan", 0)],
             edges: vec![],
             taps: vec![0],
-            queue_capacity: None,
         };
         assert!(codes(&spec).contains(&"E0404"));
     }
@@ -462,7 +443,6 @@ mod tests {
             nodes: vec![src("in"), op("merge", 2)],
             edges: vec![edge(0, 1, 0), edge(0, 1, 0), edge(1, 0, 0)],
             taps: vec![1],
-            queue_capacity: None,
         };
         let codes = codes(&spec);
         assert_eq!(codes.iter().filter(|&&c| c == "E0405").count(), 2);
@@ -474,7 +454,6 @@ mod tests {
             nodes: vec![src("in")],
             edges: vec![edge(0, 7, 0)],
             taps: vec![9],
-            queue_capacity: None,
         };
         // The broken edge is dropped, so the source's output also counts
         // as dangling (E0402) — both E0406s must still be present.
@@ -483,36 +462,82 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_queue() {
-        let spec = GraphSpec {
-            nodes: vec![src("in"), op("point", 1)],
-            edges: vec![edge(0, 1, 0)],
-            taps: vec![1],
-            queue_capacity: Some(0),
-        };
-        assert!(codes(&spec).contains(&"E0407"));
-    }
-
-    #[test]
     fn snapshot_of_real_dataflow_is_clean() {
-        struct Pass;
-        impl Operator for Pass {
-            fn name(&self) -> &str {
-                "pass"
-            }
-            fn push(&mut self, _port: usize, _batch: &[esp_types::Tuple]) -> esp_types::Result<()> {
-                Ok(())
-            }
-            fn flush(&mut self, _epoch: Ts) -> esp_types::Result<Batch> {
-                Ok(Batch::new())
-            }
-        }
         let mut flow = Dataflow::new();
         let s = flow.add_source(Box::new(ScriptedSource::new("in", Vec::new())));
-        let p = flow.add_operator(Box::new(Pass), &[s]).unwrap();
+        let p = flow
+            .add_operator(Box::new(PassThrough::new()), &[s])
+            .unwrap();
         flow.add_tap(p).unwrap();
         let spec = GraphSpec::of(&flow);
         assert_eq!(spec.nodes.len(), 2);
         assert!(spec.validate().is_empty(), "{:?}", spec.validate());
+    }
+
+    // The three tests below moved here from esp-stream's `graph.rs` when
+    // `Dataflow::validate` was folded into this checker; they check
+    // `GraphSpec::of` on real `Dataflow`s rather than hand-built specs.
+
+    fn source(flow: &mut Dataflow) -> NodeId {
+        flow.add_source(Box::new(ScriptedSource::new("in", Vec::new())))
+    }
+
+    fn pass(flow: &mut Dataflow, input: NodeId) -> NodeId {
+        flow.add_operator(Box::new(PassThrough::new()), &[input])
+            .unwrap()
+    }
+
+    #[test]
+    fn validate_flags_zero_input_operator() {
+        // `UnionOp::new(0)` declares zero input ports: constructible, but
+        // it never receives anything to emit.
+        let mut flow = Dataflow::new();
+        let u = flow.add_operator(Box::new(UnionOp::new(0)), &[]).unwrap();
+        flow.add_tap(u).unwrap();
+        let diags = GraphSpec::of(&flow).validate();
+        let got: Vec<_> = diags.iter().map(|d| d.code).collect();
+        assert_eq!(got, ["E0404"], "{diags:?}");
+        assert!(diags[0].is_error(), "{diags:?}");
+    }
+
+    #[test]
+    fn validate_warns_on_dangling_output_and_missing_taps() {
+        // A second branch off the source that nothing consumes or taps.
+        let mut dangling = Dataflow::new();
+        let s = source(&mut dangling);
+        let kept = pass(&mut dangling, s);
+        pass(&mut dangling, s);
+        dangling.add_tap(kept).unwrap();
+        // Runnable, but nothing observes it (and so its end dangles too).
+        let mut untapped = Dataflow::new();
+        let s = source(&mut untapped);
+        pass(&mut untapped, s);
+
+        for (flow, want) in [
+            (dangling, vec!["E0402"]),
+            (untapped, vec!["E0402", "E0403"]),
+        ] {
+            let diags = GraphSpec::of(&flow).validate();
+            let got: Vec<_> = diags.iter().map(|d| d.code).collect();
+            assert_eq!(got, want, "{diags:?}");
+            assert!(diags.iter().all(|d| !d.is_error()), "{diags:?}");
+        }
+    }
+
+    #[test]
+    fn validate_clean_graph_has_no_diagnostics() {
+        // Fan-out then fan-in: every port fed, every end consumed or tapped.
+        let mut flow = Dataflow::new();
+        let s = source(&mut flow);
+        let a = pass(&mut flow, s);
+        let b = pass(&mut flow, s);
+        let u = flow
+            .add_operator(Box::new(UnionOp::new(2)), &[a, b])
+            .unwrap();
+        flow.add_tap(u).unwrap();
+        let diags = GraphSpec::of(&flow).validate();
+        assert!(diags.is_empty(), "{diags:?}");
+        // Empty graphs are trivially clean too.
+        assert!(GraphSpec::of(&Dataflow::new()).validate().is_empty());
     }
 }

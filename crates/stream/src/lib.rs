@@ -13,21 +13,18 @@
 //!   operator receives batches on input ports during an epoch and emits its
 //!   output when the epoch is flushed (punctuation).
 //! * [`Dataflow`] — a DAG of sources and operators with output taps.
-//! * [`EpochRunner`] — the deterministic single-threaded scheduler used by
-//!   experiments: advances logical time epoch by epoch.
-//! * [`ThreadedRunner`] — a multi-threaded runner (one thread per node,
-//!   crossbeam channels as inter-operator queues) that produces the same
-//!   per-epoch outputs; useful when receptor simulation is expensive.
+//! * [`EpochRunner`] — the deterministic push-based scheduler: advances
+//!   logical time epoch by epoch, pushing each node's output to its
+//!   consumers in topological order. Parallelism lives one level up, in
+//!   the sharded gateway (`esp-gateway`), which runs one `EpochRunner`
+//!   per shard.
 //! * [`ops`] — generic building-block operators (filter, map, union, …).
 //! * [`StageState`] / [`Checkpointable`] — epoch-boundary capture and
 //!   restore of operator state, the substrate of `esp-durability`'s
 //!   epoch-aligned checkpoint protocol.
 //! * [`stats`] — streaming mean/variance used by windowed aggregates and
-//!   the Merge stage's outlier test.
-//! * [`model`] — a deterministic model checker that exhaustively explores
-//!   interleavings of the threaded runner's punctuation/shutdown protocol
-//!   (`E0701`/`E0702`/`E0704` findings), driving the same
-//!   [`stager::EpochStager`] the runner executes.
+//!   the Merge stage's outlier test, plus the [`QueueStats`] counters the
+//!   gateway's bounded shard queues report through.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,13 +34,10 @@
 
 mod epoch;
 pub mod graph;
-pub mod model;
 mod operator;
 pub mod ops;
-pub mod stager;
 mod state;
 pub mod stats;
-mod threaded;
 mod window;
 
 pub use epoch::EpochRunner;
@@ -51,5 +45,4 @@ pub use graph::{Dataflow, NodeId, TapId};
 pub use operator::{Operator, Payload, ScriptedChunkSource, ScriptedSource, Source};
 pub use state::{unexpected_state, Checkpointable, StageState};
 pub use stats::QueueStats;
-pub use threaded::ThreadedRunner;
 pub use window::{WindowBuffer, WindowView};

@@ -3,8 +3,8 @@
 //! Epoch-aligned checkpointing (see `esp-durability`) snapshots a
 //! pipeline by asking every operator for its state *at an epoch
 //! boundary* — the only instant the dataflow is quiescent: all batches
-//! for the epoch have been pushed, every operator has flushed, and the
-//! [`EpochStager`](crate::stager::EpochStager) holds nothing in flight.
+//! for the epoch have been pushed, every operator has flushed, and
+//! nothing is in flight between nodes.
 //! That alignment is what makes a snapshot plus a WAL-suffix replay
 //! byte-identical to an uninterrupted run.
 //!

@@ -170,3 +170,41 @@ fn unroutable_receptors_are_counted_not_fatal() {
     assert_eq!(output.stats.readings, 1);
     assert_eq!(output.total_tuples(), 1);
 }
+
+#[test]
+fn silent_client_cannot_hang_finish() {
+    // A peer that connects but never sends its hello must not pin a
+    // reader thread forever: the handshake times out, the connection is
+    // counted as an I/O error, and `finish` returns.
+    let mut config = GatewayConfig::new(groups());
+    config.n_shards = 2;
+    let gateway = Gateway::spawn(config, |_| Pipeline::raw()).unwrap();
+
+    let silent = std::net::TcpStream::connect(gateway.local_addr()).unwrap();
+    // Connections are accepted in arrival order, so once this client's
+    // handshake is acked the silent one has been accepted too.
+    let mut client = GatewayClient::connect(gateway.local_addr(), TimeDelta::ZERO).unwrap();
+    client
+        .send(&Reading::Scalar {
+            receptor: ReceptorId(2),
+            ts: Ts::from_millis(10),
+            value: 1.0,
+        })
+        .unwrap();
+    client.finish().unwrap();
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(gateway.finish());
+    });
+    let output = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("finish must not wait on a client that never said hello")
+        .unwrap();
+    drop(silent);
+
+    assert_eq!(output.stats.connections, 1);
+    assert_eq!(output.stats.io_errors, 1);
+    assert_eq!(output.stats.readings, 1);
+    assert_eq!(output.total_tuples(), 1);
+}
