@@ -12,15 +12,6 @@
 //! speedup isolates the execution path. Emitted row counts are asserted
 //! equal across modes.
 //!
-//! The windowed group-by cell runs a third time with liveness-driven
-//! column pruning ([`ContinuousQuery::enable_column_pruning`]) — the
-//! query never reads `receptor_id`, so the live-column analysis nulls it
-//! at ingest before the window buffers it. Pruning is a *memory*
-//! optimization (window state stops retaining unread payload refs); the
-//! reported `pruned_vs_compiled` ratio prices its ingest-time tuple
-//! rebuild, so it is expected to sit at or below 1.0 on this narrow
-//! schema. Output equality with the unpruned compiled run is asserted.
-//!
 //! Every cell also runs a **chunk-path** arm: the same rows arrive as
 //! pre-built columnar chunks ([`ContinuousQuery::push_chunk`], as the
 //! gateway's ingest now delivers them) and results are drained with
@@ -223,34 +214,6 @@ fn main() {
             let rps_r = rows as f64 / secs_r;
             let speedup = rps_c / rps_r;
 
-            // Pruning only engages when the query leaves input columns
-            // unread; the group-by ignores `receptor_id`, so it is the
-            // cell that measures the liveness-driven ingest path.
-            if w.name == "group_by" {
-                let mut pruned = engine.compile(w.sql).expect("query compiles");
-                assert!(
-                    pruned.enable_column_pruning(),
-                    "group_by leaves receptor_id dead, pruning must engage"
-                );
-                drive(&mut pruned, w.streams, warm, 0);
-                let (secs_p, _, out_p) = drive(&mut pruned, w.streams, meas, WARMUP_EPOCHS);
-                assert_eq!(
-                    out_c, out_p,
-                    "{} @ {n}: pruned and unpruned paths must emit the same rows",
-                    w.name
-                );
-                let rps_p = rows as f64 / secs_p;
-                report
-                    .scalar(format!("{}_{n}_pruned_rows_per_sec", w.name), rps_p)
-                    .scalar(format!("{}_{n}_pruned_vs_compiled", w.name), rps_p / rps_c);
-                println!(
-                    "{:>10} @ {:>6} rows/epoch: pruned   {:>12.0} rows/s ({:.2}x vs compiled)",
-                    w.name,
-                    n,
-                    rps_p,
-                    rps_p / rps_c
-                );
-            }
             // Chunk-path arm: same rows, delivered columnar.
             let chunk_feeds: Vec<Vec<Chunk>> = feeds
                 .iter()

@@ -264,13 +264,6 @@ impl StageOperator {
             buf: SegBuf::default(),
         }
     }
-
-    fn run_epoch(&mut self, epoch: Ts) -> Result<Payload> {
-        match self.buf.take() {
-            Payload::Chunks(chunks) => self.stage.process_chunks(epoch, chunks),
-            Payload::Rows(rows) => self.stage.process(epoch, rows).map(Payload::Rows),
-        }
-    }
 }
 
 impl Operator for StageOperator {
@@ -278,22 +271,16 @@ impl Operator for StageOperator {
         self.stage.name()
     }
 
-    fn push(&mut self, _port: usize, batch: &[Tuple]) -> Result<()> {
-        self.buf.push_rows(batch);
+    fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
+        self.buf.push(input);
         Ok(())
     }
 
-    fn push_chunk(&mut self, _port: usize, chunk: &Chunk) -> Result<()> {
-        self.buf.push_chunk(chunk);
-        Ok(())
-    }
-
-    fn flush(&mut self, epoch: Ts) -> Result<Batch> {
-        self.run_epoch(epoch).map(Payload::into_rows)
-    }
-
-    fn flush_payload(&mut self, epoch: Ts) -> Result<Payload> {
-        self.run_epoch(epoch)
+    fn flush(&mut self, epoch: Ts) -> Result<Payload> {
+        match self.buf.take() {
+            Payload::Chunks(chunks) => self.stage.process_chunks(epoch, chunks),
+            Payload::Rows(rows) => self.stage.process(epoch, rows).map(Payload::Rows),
+        }
     }
 
     fn state(&self) -> Result<Option<StageState>> {
@@ -501,8 +488,8 @@ mod tests {
             &[rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "b")],
         )
         .unwrap();
-        op.push_chunk(0, &chunk).unwrap();
-        let out = op.flush(Ts::ZERO).unwrap();
+        op.push(0, &Payload::Chunks(vec![chunk])).unwrap();
+        let out = op.flush(Ts::ZERO).unwrap().to_rows();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get("tag_id"), Some(&Value::str("a")));
     }
@@ -511,15 +498,17 @@ mod tests {
     fn mixed_row_and_chunk_epoch_preserves_arrival_order() {
         let stage = FnStage::per_epoch("id", |_, input| Ok(input));
         let mut op = StageOperator::new(Box::new(stage));
-        op.push(0, &[rfid(Ts::ZERO, "r1")]).unwrap();
+        op.push(0, &Payload::Rows(vec![rfid(Ts::ZERO, "r1")]))
+            .unwrap();
         let chunk = Chunk::from_tuples(
             &esp_types::well_known::rfid_schema(),
             &[rfid(Ts::ZERO, "c1")],
         )
         .unwrap();
-        op.push_chunk(0, &chunk).unwrap();
-        op.push(0, &[rfid(Ts::ZERO, "r2")]).unwrap();
-        let out = op.flush(Ts::ZERO).unwrap();
+        op.push(0, &Payload::Chunks(vec![chunk])).unwrap();
+        op.push(0, &Payload::Rows(vec![rfid(Ts::ZERO, "r2")]))
+            .unwrap();
+        let out = op.flush(Ts::ZERO).unwrap().to_rows();
         let tags: Vec<_> = out.iter().map(|t| t.get("tag_id").cloned()).collect();
         assert_eq!(
             tags,
@@ -535,8 +524,10 @@ mod tests {
     fn stage_operator_adapts() {
         let stage = FnStage::per_tuple("id", |t| Ok(Some(t.clone())));
         let mut op = StageOperator::new(Box::new(stage));
-        op.push(0, &[rfid(Ts::ZERO, "a")]).unwrap();
-        op.push(0, &[rfid(Ts::ZERO, "b")]).unwrap();
+        op.push(0, &Payload::Rows(vec![rfid(Ts::ZERO, "a")]))
+            .unwrap();
+        op.push(0, &Payload::Rows(vec![rfid(Ts::ZERO, "b")]))
+            .unwrap();
         assert_eq!(op.flush(Ts::ZERO).unwrap().len(), 2);
         assert_eq!(op.name(), "id");
         assert!(op.flush(Ts::ZERO).unwrap().is_empty());

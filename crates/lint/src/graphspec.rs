@@ -1,6 +1,6 @@
 //! Structural linting of operator graphs.
 //!
-//! A [`Dataflow`](esp_stream::Dataflow) is built append-only — every
+//! A [`Dataflow`] is built append-only — every
 //! operator names its inputs at insertion, so cycles and forward
 //! references are unrepresentable by construction. [`GraphSpec`] is the
 //! edge-list form a *planned* topology takes before it is lowered to a

@@ -32,7 +32,7 @@
 //! line/column regions, machine-applicable suggestions as `fixes`,
 //! every suggestion span as a `relatedLocation`) so code-scanning UIs
 //! can ingest the findings — and surface the repairs — directly.
-//! Hand-rolled like the JSON form — the subset is small and fixed.
+//! Both documents are built as `serde_json` values and pretty-printed.
 
 use std::process::ExitCode;
 
@@ -42,6 +42,7 @@ use esp_lint::{
 };
 use esp_types::diag::floor_char_boundary;
 use esp_types::Diagnostic;
+use serde_json::{json, Value};
 
 const USAGE: &str = "\
 usage: esp-lint [options] <file.cql|file.json>...
@@ -321,122 +322,119 @@ fn lint_kind(kind: Kind, source: &str) -> Vec<Diagnostic> {
     }
 }
 
-/// Render every finding as one JSON document. Built by hand — the
-/// structure is flat and fixed, so a serializer dependency buys nothing.
+fn span_json(span: esp_types::Span) -> Value {
+    json!({"start": span.start, "end": span.end})
+}
+
+fn to_pretty(doc: &Value) -> String {
+    serde_json::to_string_pretty(doc).expect("a JSON value always serializes")
+}
+
+/// Render every finding as one JSON document.
 fn render_json(reports: &[InputReport]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"inputs\": {},\n", reports.len()));
-    out.push_str("  \"findings\": [");
-    let mut first = true;
+    let mut findings = Vec::new();
+    let mut witnesses = Vec::new();
     for r in reports {
         for d in &r.diags {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("\n    {");
-            out.push_str(&format!("\"origin\": \"{}\", ", json_escape(&r.origin)));
-            out.push_str(&format!("\"code\": \"{}\", ", json_escape(d.code)));
-            out.push_str(&format!("\"severity\": \"{}\", ", d.severity));
-            out.push_str(&format!("\"message\": \"{}\", ", json_escape(&d.message)));
-            match d.span {
-                Some(s) => out.push_str(&format!(
-                    "\"span\": {{\"start\": {}, \"end\": {}}}, ",
-                    s.start, s.end
-                )),
-                None => out.push_str("\"span\": null, "),
-            }
-            out.push_str("\"notes\": [");
-            for (i, n) in d.notes.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\"", json_escape(n)));
-            }
-            out.push_str("], \"suggestions\": [");
-            for (i, s) in d.suggestions.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"message\": \"{}\", \"span\": {{\"start\": {}, \"end\": {}}}, \
-                     \"replacement\": \"{}\", \"applicability\": \"{}\"}}",
-                    json_escape(&s.message),
-                    s.span.start,
-                    s.span.end,
-                    json_escape(&s.replacement),
-                    s.applicability
-                ));
-            }
-            out.push_str("]}");
+            let suggestions: Vec<Value> = d
+                .suggestions
+                .iter()
+                .map(|s| {
+                    json!({
+                        "message": s.message,
+                        "span": span_json(s.span),
+                        "replacement": s.replacement,
+                        "applicability": s.applicability.to_string(),
+                    })
+                })
+                .collect();
+            findings.push(json!({
+                "origin": r.origin,
+                "code": d.code,
+                "severity": d.severity.to_string(),
+                "message": d.message,
+                "span": d.span.map(span_json),
+                "notes": d.notes,
+                "suggestions": suggestions,
+            }));
         }
-    }
-    if !first {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"witnesses\": [");
-    let mut first = true;
-    for r in reports {
         for w in &r.witnesses {
-            if !first {
-                out.push(',');
-            }
-            first = false;
             let (verdict, detail) = match &w.outcome {
-                WitnessOutcome::Confirmed { evidence } => ("confirmed", evidence.as_str()),
-                WitnessOutcome::Refuted { observed } => ("refuted", observed.as_str()),
-                WitnessOutcome::NotAttempted { reason } => ("not_attempted", reason.as_str()),
+                WitnessOutcome::Confirmed { evidence } => ("confirmed", evidence),
+                WitnessOutcome::Refuted { observed } => ("refuted", observed),
+                WitnessOutcome::NotAttempted { reason } => ("not_attempted", reason),
             };
-            out.push_str("\n    {");
-            out.push_str(&format!("\"origin\": \"{}\", ", json_escape(&r.origin)));
-            out.push_str(&format!("\"code\": \"{}\", ", json_escape(w.code)));
-            match w.span {
-                Some(s) => out.push_str(&format!(
-                    "\"span\": {{\"start\": {}, \"end\": {}}}, ",
-                    s.start, s.end
-                )),
-                None => out.push_str("\"span\": null, "),
-            }
-            out.push_str(&format!("\"claim\": \"{}\", ", json_escape(&w.claim)));
-            out.push_str("\"inputs\": [");
-            for (i, line) in w.inputs.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\"", json_escape(line)));
-            }
-            out.push_str(&format!(
-                "], \"verdict\": \"{verdict}\", \"detail\": \"{}\"}}",
-                json_escape(detail)
-            ));
+            witnesses.push(json!({
+                "origin": r.origin,
+                "code": w.code,
+                "span": w.span.map(span_json),
+                "claim": w.claim,
+                "inputs": w.inputs,
+                "verdict": verdict,
+                "detail": detail,
+            }));
         }
     }
-    if !first {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}");
-    out
+    to_pretty(&json!({
+        "inputs": reports.len(),
+        "findings": findings,
+        "witnesses": witnesses,
+    }))
+}
+
+/// The text of `source` before byte `offset`, clamped to the nearest
+/// character boundary at or below it.
+fn prefix(source: &str, offset: usize) -> &str {
+    &source[..floor_char_boundary(source, offset.min(source.len()))]
 }
 
 /// 1-based line and **character** column of a byte offset in `source`
 /// (SARIF regions are line/column-oriented; our spans are byte offsets
 /// into the original text, which disagree on multi-byte lines).
 fn line_col(source: &str, offset: usize) -> (usize, usize) {
-    let clamped = floor_char_boundary(source, offset.min(source.len()));
-    let before = &source[..clamped];
+    let before = prefix(source, offset);
     let line = before.matches('\n').count() + 1;
     let line_start = before.rfind('\n').map(|p| p + 1).unwrap_or(0);
     let col = before[line_start..].chars().count() + 1;
     (line, col)
 }
 
-fn sarif_region(source: &str, span: esp_types::Span) -> String {
-    let (sl, sc) = line_col(source, span.start);
-    let (el, ec) = line_col(source, span.end);
-    format!(
-        "\"region\": {{\"startLine\": {sl}, \"startColumn\": {sc}, \
-         \"endLine\": {el}, \"endColumn\": {ec}}}"
-    )
+fn physical_location(r: &InputReport, span: Option<esp_types::Span>) -> Value {
+    let artifact = json!({"uri": r.origin});
+    match span {
+        Some(s) => {
+            let (sl, sc) = line_col(&r.source, s.start);
+            let (el, ec) = line_col(&r.source, s.end);
+            json!({
+                "artifactLocation": artifact,
+                "region": json!({
+                    "startLine": sl,
+                    "startColumn": sc,
+                    "endLine": el,
+                    "endColumn": ec,
+                }),
+            })
+        }
+        None => json!({"artifactLocation": artifact}),
+    }
+}
+
+/// A machine-applicable suggestion as a SARIF `fix`. SARIF counts
+/// `charOffset`/`charLength` in characters, like the region columns.
+fn sarif_fix(r: &InputReport, s: &esp_types::Suggestion) -> Value {
+    let start = prefix(&r.source, s.span.start).chars().count();
+    let end = prefix(&r.source, s.span.end).chars().count();
+    let replacement = json!({
+        "deletedRegion": json!({"charOffset": start, "charLength": end.saturating_sub(start)}),
+        "insertedContent": json!({"text": s.replacement}),
+    });
+    json!({
+        "description": json!({"text": s.message}),
+        "artifactChanges": vec![json!({
+            "artifactLocation": json!({"uri": r.origin}),
+            "replacements": vec![replacement],
+        })],
+    })
 }
 
 /// Render every finding as a minimal SARIF 2.1.0 log: one tool run,
@@ -445,105 +443,54 @@ fn sarif_region(source: &str, span: esp_types::Span) -> String {
 /// suggestion span as a `relatedLocation`. Only the subset
 /// code-scanning ingestion requires.
 fn render_sarif(reports: &[InputReport]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-    out.push_str("  \"runs\": [{\n");
-    out.push_str("    \"tool\": {\"driver\": {\"name\": \"esp-lint\"}},\n");
-    out.push_str("    \"results\": [");
-    let mut first = true;
+    let mut results = Vec::new();
     for r in reports {
         for d in &r.diags {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let level = if d.is_error() { "error" } else { "warning" };
-            out.push_str("\n      {");
-            out.push_str(&format!("\"ruleId\": \"{}\", ", json_escape(d.code)));
-            out.push_str(&format!("\"level\": \"{level}\", "));
-            out.push_str(&format!(
-                "\"message\": {{\"text\": \"{}\"}}, ",
-                json_escape(&d.message)
-            ));
-            out.push_str("\"locations\": [{\"physicalLocation\": {");
-            out.push_str(&format!(
-                "\"artifactLocation\": {{\"uri\": \"{}\"}}",
-                json_escape(&r.origin)
-            ));
-            if let Some(s) = d.span {
-                out.push_str(", ");
-                out.push_str(&sarif_region(&r.source, s));
-            }
-            out.push_str("}}]");
+            let mut result = vec![
+                ("ruleId".to_string(), json!(d.code)),
+                (
+                    "level".to_string(),
+                    json!(if d.is_error() { "error" } else { "warning" }),
+                ),
+                ("message".to_string(), json!({"text": d.message})),
+                (
+                    "locations".to_string(),
+                    json!(vec![
+                        json!({"physicalLocation": physical_location(r, d.span)})
+                    ]),
+                ),
+            ];
             if !d.suggestions.is_empty() {
-                out.push_str(", \"relatedLocations\": [");
-                for (i, s) in d.suggestions.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str("{\"physicalLocation\": {");
-                    out.push_str(&format!(
-                        "\"artifactLocation\": {{\"uri\": \"{}\"}}, ",
-                        json_escape(&r.origin)
-                    ));
-                    out.push_str(&sarif_region(&r.source, s.span));
-                    out.push_str(&format!(
-                        "}}, \"message\": {{\"text\": \"{}\"}}}}",
-                        json_escape(&s.message)
-                    ));
-                }
-                out.push(']');
+                let related: Vec<Value> = d
+                    .suggestions
+                    .iter()
+                    .map(|s| {
+                        json!({
+                            "physicalLocation": physical_location(r, Some(s.span)),
+                            "message": json!({"text": s.message}),
+                        })
+                    })
+                    .collect();
+                result.push(("relatedLocations".to_string(), json!(related)));
             }
-            let fixes: Vec<_> = d
+            let fixes: Vec<Value> = d
                 .suggestions
                 .iter()
                 .filter(|s| s.is_machine_applicable())
+                .map(|s| sarif_fix(r, s))
                 .collect();
             if !fixes.is_empty() {
-                out.push_str(", \"fixes\": [");
-                for (i, s) in fixes.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!(
-                        "{{\"description\": {{\"text\": \"{}\"}}, \"artifactChanges\": \
-                         [{{\"artifactLocation\": {{\"uri\": \"{}\"}}, \"replacements\": \
-                         [{{\"deletedRegion\": {{\"charOffset\": {}, \"charLength\": {}}}, \
-                         \"insertedContent\": {{\"text\": \"{}\"}}}}]}}]}}",
-                        json_escape(&s.message),
-                        json_escape(&r.origin),
-                        s.span.start,
-                        s.span.end.saturating_sub(s.span.start),
-                        json_escape(&s.replacement)
-                    ));
-                }
-                out.push(']');
+                result.push(("fixes".to_string(), json!(fixes)));
             }
-            out.push('}');
+            results.push(Value::Object(result));
         }
     }
-    if !first {
-        out.push_str("\n    ");
-    }
-    out.push_str("]\n  }]\n}");
-    out
-}
-
-/// Escape a string for embedding in a JSON string literal (RFC 8259:
-/// quote, backslash, and control characters).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    to_pretty(&json!({
+        "version": "2.1.0",
+        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
+        "runs": vec![json!({
+            "tool": json!({"driver": json!({"name": "esp-lint"})}),
+            "results": results,
+        })],
+    }))
 }

@@ -101,7 +101,7 @@ pub struct AggCall {
 pub enum CExpr {
     /// Literal.
     Literal(Value),
-    /// Field reference. `slot` is filled in by [`crate::plan::resolve_pass`]
+    /// Field reference. `slot` is filled in by `plan::resolve_pass`
     /// when the reference is provably unique against known schemas; it is
     /// an acceleration only — evaluation falls back to name resolution
     /// whenever the slot's schema doesn't match the actual tuple.
@@ -274,7 +274,7 @@ impl CompiledSelect {
     /// derived tables and quantified subqueries. The immutable companion
     /// of [`CompiledSelect::for_each_window`], used by the effect
     /// summaries (column read sets, determinism taint) that the E09xx
-    /// dataflow analyses and column pruning consume.
+    /// dataflow analyses consume.
     pub(crate) fn for_each_expr(&self, f: &mut dyn FnMut(&CExpr)) {
         for item in &self.select {
             item.expr.walk(f);

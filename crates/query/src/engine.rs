@@ -3,7 +3,6 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use esp_stream::Operator;
 use esp_types::{
     Batch, Chunk, Determinism, EspError, FieldEffects, Result, TimeDelta, Ts, Tuple, Value,
 };
@@ -127,7 +126,6 @@ impl Engine {
             streams,
             text: sql.to_string(),
             reference_mode: false,
-            prune: None,
         })
     }
 
@@ -204,11 +202,6 @@ pub struct ContinuousQuery {
     /// When set, slot resolution is skipped and annotations are cleared:
     /// every tick runs the original name-resolving interpreter.
     reference_mode: bool,
-    /// When set (see [`ContinuousQuery::enable_column_pruning`]), every
-    /// tuple entering a window is pruned to the query's live columns:
-    /// values of columns the query provably never reads are replaced with
-    /// `Null`, schema and slot layout untouched.
-    prune: Option<crate::exec::ColumnPruner>,
 }
 
 impl ContinuousQuery {
@@ -322,29 +315,6 @@ impl ContinuousQuery {
         }
     }
 
-    /// Opt in to liveness-driven column pruning: every tuple entering a
-    /// window has the values of columns this query provably never reads
-    /// replaced with `Null`. Schema and slot layout are untouched, so the
-    /// compiled zero-copy path is unaffected and output is byte-identical;
-    /// wide tuples just stop retaining unread payloads in window state.
-    ///
-    /// Returns `false` (and stays off) when the query contains `SELECT *`,
-    /// whose read set cannot be bounded statically.
-    pub fn enable_column_pruning(&mut self) -> bool {
-        match self.read_columns() {
-            Some(cols) => {
-                self.prune = Some(crate::exec::ColumnPruner::new(cols));
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// True when [`ContinuousQuery::enable_column_pruning`] is in effect.
-    pub fn column_pruning_enabled(&self) -> bool {
-        self.prune.is_some()
-    }
-
     /// Stage a batch for `stream`, to be absorbed at the next tick.
     /// Unknown stream names are rejected.
     pub fn push(&mut self, stream: &str, batch: &[Tuple]) -> Result<()> {
@@ -416,7 +386,6 @@ impl ContinuousQuery {
                 *visits_left.entry(name.to_string()).or_default() += 1;
             });
         }
-        let prune = &mut self.prune;
         self.root.for_each_window(&mut |name, w| {
             // Slide first: everything ingested below is (re)stamped at
             // `epoch`, at or above any eviction cutoff, so sliding cannot
@@ -432,10 +401,6 @@ impl ContinuousQuery {
                         t.clone()
                     } else {
                         t.restamped(epoch)
-                    };
-                    let t = match prune.as_mut() {
-                        Some(pruner) => pruner.prune(&t),
-                        None => t,
                     };
                     w.push(t);
                 }
@@ -455,13 +420,9 @@ impl ContinuousQuery {
             if let Some(chunks) = staged {
                 for mut c in chunks {
                     // Restamped to the epoch (same now-window semantics
-                    // as the row path) and, under pruning, columns
-                    // outside the live set are dropped physically.
+                    // as the row path).
                     if c.ts().iter().any(|t| *t != epoch) {
                         c.restamp(epoch);
-                    }
-                    if let Some(pruner) = prune.as_mut() {
-                        pruner.prune_chunk(&mut c);
                     }
                     w.push_chunk_owned(c);
                 }
@@ -488,96 +449,6 @@ impl ContinuousQuery {
             }
         }
         result
-    }
-}
-
-/// Adapter placing a [`ContinuousQuery`] into an
-/// [`esp_stream::Dataflow`](esp_stream::Dataflow): input port `i` feeds the
-/// stream named `ports[i]`; `flush` ticks the query at the epoch.
-pub struct QueryOperator {
-    name: String,
-    query: ContinuousQuery,
-    ports: Vec<String>,
-}
-
-impl QueryOperator {
-    /// Wrap `query`, mapping input port `i` to stream name `ports[i]`.
-    /// Every stream the query reads must appear in `ports`.
-    pub fn new(
-        name: impl Into<String>,
-        query: ContinuousQuery,
-        ports: Vec<String>,
-    ) -> Result<QueryOperator> {
-        for s in query.input_streams() {
-            if !ports.contains(s) {
-                return Err(EspError::Config(format!(
-                    "query reads stream '{s}' but no input port supplies it"
-                )));
-            }
-        }
-        Ok(QueryOperator {
-            name: name.into(),
-            query,
-            ports,
-        })
-    }
-
-    /// Single-input convenience: port 0 feeds the query's only stream.
-    pub fn single_input(name: impl Into<String>, query: ContinuousQuery) -> Result<QueryOperator> {
-        let streams = query.input_streams().to_vec();
-        let [stream] = streams.as_slice() else {
-            return Err(EspError::Config(format!(
-                "single_input requires a one-stream query, found {}",
-                streams.len()
-            )));
-        };
-        let stream = stream.clone();
-        QueryOperator::new(name, query, vec![stream])
-    }
-}
-
-impl Operator for QueryOperator {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn n_inputs(&self) -> usize {
-        self.ports.len()
-    }
-
-    fn push(&mut self, port: usize, batch: &[Tuple]) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let stream = self
-            .ports
-            .get(port)
-            .ok_or_else(|| EspError::Config(format!("no stream mapped to input port {port}")))?;
-        // Clone the name to appease the borrow checker cheaply.
-        let stream = stream.clone();
-        self.query.push(&stream, batch)
-    }
-
-    fn push_chunk(&mut self, port: usize, chunk: &esp_types::Chunk) -> Result<()> {
-        if chunk.is_empty() {
-            return Ok(());
-        }
-        let stream = self
-            .ports
-            .get(port)
-            .ok_or_else(|| EspError::Config(format!("no stream mapped to input port {port}")))?;
-        let stream = stream.clone();
-        self.query.push_chunk(&stream, chunk.clone())
-    }
-
-    fn flush(&mut self, epoch: Ts) -> Result<Batch> {
-        self.query.tick(epoch)
-    }
-
-    fn flush_payload(&mut self, epoch: Ts) -> Result<esp_stream::Payload> {
-        Ok(esp_stream::Payload::Chunks(vec![self
-            .query
-            .tick_chunk(epoch)?]))
     }
 }
 
@@ -635,37 +506,6 @@ mod tests {
             .unwrap();
         assert!(q.push("other", &[]).is_err());
         assert_eq!(q.input_streams(), &["s".to_string()]);
-    }
-
-    #[test]
-    fn query_operator_round_trip() {
-        let engine = Engine::new();
-        let q = engine
-            .compile("SELECT tag_id, count(*) FROM s [Range By '5 sec'] GROUP BY tag_id")
-            .unwrap();
-        let mut op = QueryOperator::single_input("smooth", q).unwrap();
-        assert_eq!(op.n_inputs(), 1);
-        op.push(0, &[rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "a")])
-            .unwrap();
-        let out = op.flush(Ts::ZERO).unwrap();
-        assert_eq!(out[0].get("count"), Some(&Value::Int(2)));
-    }
-
-    #[test]
-    fn query_operator_validates_ports() {
-        let engine = Engine::new();
-        let q = engine
-            .compile("SELECT a.tag_id FROM a [Range 'NOW'], b [Range 'NOW']")
-            .unwrap();
-        assert!(QueryOperator::single_input("x", q).is_err());
-        let q = engine
-            .compile("SELECT a.tag_id FROM a [Range 'NOW'], b [Range 'NOW']")
-            .unwrap();
-        assert!(QueryOperator::new("x", q, vec!["a".into()]).is_err());
-        let q = engine
-            .compile("SELECT a.tag_id FROM a [Range 'NOW'], b [Range 'NOW']")
-            .unwrap();
-        assert!(QueryOperator::new("x", q, vec!["a".into(), "b".into()]).is_ok());
     }
 
     #[test]
@@ -765,28 +605,6 @@ mod tests {
             .unwrap()
             .determinism()
             .is_deterministic());
-    }
-
-    #[test]
-    fn column_pruning_preserves_output_bytes() {
-        let sql = "SELECT tag_id, count(*) FROM s [Range By '5 sec'] GROUP BY tag_id";
-        let engine = Engine::new();
-        let mut plain = engine.compile(sql).unwrap();
-        let mut pruned = engine.compile(sql).unwrap();
-        assert!(pruned.enable_column_pruning());
-        assert!(pruned.column_pruning_enabled());
-        for (epoch, tag) in [(0u64, "a"), (1, "b"), (2, "a")] {
-            let batch = [rfid(Ts::from_secs(epoch), tag)];
-            plain.push("s", &batch).unwrap();
-            pruned.push("s", &batch).unwrap();
-            let a = plain.tick(Ts::from_secs(epoch)).unwrap();
-            let b = pruned.tick(Ts::from_secs(epoch)).unwrap();
-            assert_eq!(a, b, "epoch {epoch} diverged under pruning");
-        }
-        // SELECT * refuses to prune.
-        let mut star = engine.compile("SELECT * FROM s [Range By 'NOW']").unwrap();
-        assert!(!star.enable_column_pruning());
-        assert!(!star.column_pruning_enabled());
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //! tables' outputs.
 //!
 //! Field references annotated with a [`FieldSlot`] by
-//! [`crate::plan::resolve_pass`] are fetched by `(scope, item, column)`
+//! `plan::resolve_pass` are fetched by `(scope, item, column)`
 //! index after a single `Arc::ptr_eq` schema check. The check fails — and
 //! evaluation falls back to the original name-resolving walk
-//! ([`resolve_field`]) — whenever the tuple at hand doesn't match the
+//! (`resolve_field`) — whenever the tuple at hand doesn't match the
 //! planned schema, or any scope on the way to the slot's is not *uniform*
 //! (some tuple differs from the planned shape, which could change name
 //! visibility or ambiguity). The fallback path is byte-for-byte the
@@ -29,7 +29,7 @@
 //!
 //! Joins run as hash joins when the planner extracted equi-key conjuncts
 //! (and the inputs are uniform): keyed items are hashed on their
-//! [`JoinKey`]s once, and the cross-product enumeration only visits
+//! `JoinKey`s once, and the cross-product enumeration only visits
 //! combinations whose keys match, in the same lexicographic order the
 //! nested-loop scan would have produced. Residual predicates evaluate in
 //! their original conjunct order. Without an extracted plan the original
@@ -49,81 +49,6 @@ use crate::ast::{ArithOp, Quantifier};
 use crate::catalog::Catalog;
 use crate::compile::{AggCall, CExpr, CFromItem, CSource, CompiledSelect};
 use crate::plan::{flatten_conjuncts, join_key, FieldSlot, JoinKey, JoinPlan, KeySpec};
-
-/// Opt-in column pruning ([`crate::ContinuousQuery::enable_column_pruning`]):
-/// nulls out every value whose column is outside the query's live set,
-/// preserving the schema `Arc` (and therefore the interned-schema identity
-/// the slot path keys on) and the timestamp, so unread payloads stop being
-/// retained in window state without perturbing layout.
-///
-/// The name-to-liveness decision is made once per distinct input schema
-/// and cached as a slot-indexed mask keyed on `Arc` pointer identity
-/// (schemas are interned, so identity is stable across batches); the
-/// per-tuple path does no string lookups.
-pub(crate) struct ColumnPruner {
-    keep: std::collections::BTreeSet<String>,
-    /// `(schema identity, keep-mask)`; a `None` mask means every column
-    /// is live and tuples pass through as plain clones.
-    masks: Vec<(usize, Option<Arc<[bool]>>)>,
-}
-
-impl ColumnPruner {
-    pub(crate) fn new(keep: std::collections::BTreeSet<String>) -> ColumnPruner {
-        ColumnPruner {
-            keep,
-            masks: Vec::new(),
-        }
-    }
-
-    fn mask_for(&mut self, schema: &Arc<Schema>) -> Option<Arc<[bool]>> {
-        let key = Arc::as_ptr(schema) as usize;
-        if let Some((_, mask)) = self.masks.iter().find(|(k, _)| *k == key) {
-            return mask.clone();
-        }
-        let live: Vec<bool> = schema
-            .fields()
-            .iter()
-            .map(|f| self.keep.contains(&f.name))
-            .collect();
-        let mask: Option<Arc<[bool]>> = if live.iter().all(|&l| l) {
-            None
-        } else {
-            Some(live.into())
-        };
-        self.masks.push((key, mask.clone()));
-        mask
-    }
-
-    pub(crate) fn prune(&mut self, t: &Tuple) -> Tuple {
-        let schema = Arc::clone(t.schema());
-        match self.mask_for(&schema) {
-            None => t.clone(),
-            Some(mask) => {
-                let vals: Vec<Value> = mask
-                    .iter()
-                    .zip(t.values())
-                    .map(|(&live, v)| if live { v.clone() } else { Value::Null })
-                    .collect();
-                Tuple::new_unchecked(schema, t.ts(), vals)
-            }
-        }
-    }
-
-    /// Chunk-path pruning: drop dead columns *physically* — the column's
-    /// storage is replaced by [`esp_types::ColumnVec::Pruned`], which holds
-    /// no values and reads back NULL for every row. The schema `Arc` and
-    /// column indices are untouched, so slot plans stay valid and output is
-    /// byte-identical to the row pruner's null-out.
-    pub(crate) fn prune_chunk(&mut self, chunk: &mut Chunk) {
-        if let Some(mask) = self.mask_for(chunk.schema()) {
-            for (c, &live) in mask.iter().enumerate() {
-                if !live {
-                    chunk.drop_column(c);
-                }
-            }
-        }
-    }
-}
 
 /// Evaluation context shared by a whole tick.
 pub struct ExecCtx<'a> {

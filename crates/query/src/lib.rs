@@ -21,8 +21,8 @@
 //! (from `esp-stream`) per syntactic stream reference. Each epoch the
 //! caller pushes input batches and calls [`ContinuousQuery::tick`]; the
 //! engine slides the windows and emits the windowed result (CQL `RSTREAM`
-//! per epoch). [`QueryOperator`] drops a query into an `esp-stream`
-//! dataflow.
+//! per epoch). In a pipeline, `esp-core`'s `DeclarativeStage` wraps a
+//! single-stream query as a cleaning stage.
 //!
 //! [`WindowBuffer`]: esp_stream::WindowBuffer
 
@@ -44,5 +44,5 @@ pub mod plan;
 pub mod range;
 
 pub use catalog::Catalog;
-pub use engine::{ContinuousQuery, Engine, QueryOperator};
+pub use engine::{ContinuousQuery, Engine};
 pub use parser::parse;

@@ -21,8 +21,6 @@
 //! * [`x10`] — X10 motion detectors with missed and spurious reports (§6).
 //! * [`office`] — the §6 digital-home office combining all three receptor
 //!   types over a square-wave occupancy ground truth (Figure 9).
-//! * [`replay`] — record any source's output and replay it byte-identically
-//!   (the paper's captured-trace evaluation workflow).
 //! * [`wire`] / [`channel`] — the simulated transport: readings are framed
 //!   to bytes with a checksum and pushed through loss/corruption channels
 //!   (Gilbert–Elliott bursts), so "dropped message" and "failed checksum"
@@ -45,7 +43,6 @@ pub mod lab;
 pub mod mote;
 pub mod office;
 pub mod redwood;
-pub mod replay;
 pub mod rfid;
 pub mod wire;
 pub mod x10;

@@ -7,6 +7,9 @@ use esp_types::{Batch, Result, TimeDelta, Ts};
 use crate::graph::{Dataflow, NodeKind, TapId};
 use crate::operator::Payload;
 
+/// Input for an upstream node without output (see [`EpochRunner::step`]).
+const EMPTY: Payload = Payload::Rows(Vec::new());
+
 /// Span histograms attached by [`EpochRunner::attach_obs`]: one per node
 /// (indexed like `df.nodes`) plus the whole-epoch total.
 struct EpochObs {
@@ -72,11 +75,11 @@ impl EpochRunner {
 
     /// Execute one epoch at logical time `epoch`.
     ///
-    /// Data moves between nodes as [`Payload`]s: chunk-emitting nodes hand
-    /// columnar batches straight to chunk-aware consumers, while row-only
-    /// operators receive rows through the [`crate::Operator::push_chunk`]
-    /// compat shim. Tap traces stay row-form, so recorded output is
-    /// byte-identical whichever representation flowed underneath.
+    /// Data moves between nodes as [`Payload`]s, handed over unchanged:
+    /// each operator gets one [`crate::Operator::push`] per input port and
+    /// decides itself whether to keep chunks columnar. Tap traces stay
+    /// row-form, so recorded output is byte-identical whichever
+    /// representation flowed underneath.
     pub fn step(&mut self, epoch: Ts) -> Result<()> {
         let n = self.df.nodes.len();
         // Per-epoch (not per-tuple) spans keep the instrumented cost at
@@ -94,17 +97,9 @@ impl EpochRunner {
                         // Inputs precede consumers (append-only graph), so
                         // the upstream output is always computed; an empty
                         // default keeps this hot path panic-free.
-                        match &outputs[input.0] {
-                            Some(Payload::Rows(batch)) => op.push(port, batch)?,
-                            Some(Payload::Chunks(chunks)) => {
-                                for c in chunks {
-                                    op.push_chunk(port, c)?;
-                                }
-                            }
-                            None => op.push(port, &[])?,
-                        }
+                        op.push(port, outputs[input.0].as_ref().unwrap_or(&EMPTY))?;
                     }
-                    op.flush_payload(epoch)?
+                    op.flush(epoch)?
                 }
             };
             if let (Some(o), Some(t0)) = (obs, node_start) {
@@ -265,14 +260,66 @@ impl EpochRunner {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
     use super::*;
-    use crate::operator::ScriptedSource;
-    use crate::ops::{EpochFnOp, FilterOp, UnionOp};
-    use esp_types::{DataType, Schema, Tuple, Value};
+    use crate::operator::{Operator, ScriptedChunkSource, ScriptedSource};
+    use crate::ops::{MapOp, SegBuf, UnionOp};
+    use esp_types::{Chunk, DataType, Schema, Tuple, Value};
 
     fn tup(ts: Ts, v: i64) -> Tuple {
         let schema = Schema::builder().field("v", DataType::Int).build().unwrap();
         Tuple::new(schema, ts, vec![Value::Int(v)]).unwrap()
+    }
+
+    /// A `MapOp` keeping the tuples whose value satisfies `keep`.
+    fn filter(
+        name: &str,
+        keep: impl Fn(i64) -> bool + Send,
+    ) -> MapOp<impl Fn(&Tuple) -> esp_types::Result<Option<Tuple>> + Send> {
+        MapOp::new(name, move |t: &Tuple| {
+            Ok(keep(t.value(0).as_i64().unwrap()).then(|| t.clone()))
+        })
+    }
+
+    /// Forwards its input and logs every call the runner makes on it:
+    /// `"rows N"` / `"chunks N"` per push, `"flush"` per flush.
+    struct Recorder {
+        log: Arc<Mutex<Vec<String>>>,
+        buf: SegBuf,
+    }
+
+    impl Operator for Recorder {
+        fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
+            let kind = match input {
+                Payload::Rows(_) => "rows",
+                Payload::Chunks(_) => "chunks",
+            };
+            self.log
+                .lock()
+                .unwrap()
+                .push(format!("{kind} {}", input.len()));
+            self.buf.push(input);
+            Ok(())
+        }
+
+        fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
+            self.log.lock().unwrap().push("flush".into());
+            Ok(self.buf.take())
+        }
+    }
+
+    fn recorder() -> (Box<Recorder>, Arc<Mutex<Vec<String>>>) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let op = Recorder {
+            log: Arc::clone(&log),
+            buf: SegBuf::default(),
+        };
+        (Box::new(op), log)
+    }
+
+    fn values(batch: &Batch) -> Vec<i64> {
+        batch.iter().map(|t| t.value(0).as_i64().unwrap()).collect()
     }
 
     #[test]
@@ -285,22 +332,14 @@ mod tests {
                 .collect(),
         )));
         let f = df
-            .add_operator(
-                Box::new(FilterOp::new("odd", |t: &Tuple| {
-                    t.value(0).as_i64().unwrap() % 2 == 1
-                })),
-                &[src],
-            )
+            .add_operator(Box::new(filter("odd", |v| v % 2 == 1)), &[src])
             .unwrap();
         let tap = df.add_tap(f).unwrap();
         let mut runner = EpochRunner::new(df);
         runner.run(Ts::ZERO, TimeDelta::from_secs(1), 5).unwrap();
         let trace = runner.take_tap(tap);
         assert_eq!(trace.len(), 5);
-        let vals: Vec<i64> = trace
-            .iter()
-            .flat_map(|(_, b)| b.iter().map(|t| t.value(0).as_i64().unwrap()))
-            .collect();
+        let vals: Vec<i64> = trace.iter().flat_map(|(_, b)| values(b)).collect();
         assert_eq!(vals, vec![1, 3]);
         assert_eq!(runner.epochs_run(), 5);
     }
@@ -313,7 +352,7 @@ mod tests {
             vec![(Ts::ZERO, vec![tup(Ts::ZERO, 1)])],
         )));
         let f = df
-            .add_operator(Box::new(FilterOp::new("keep", |_: &Tuple| true)), &[src])
+            .add_operator(Box::new(filter("keep", |_| true)), &[src])
             .unwrap();
         df.add_tap(f).unwrap();
         let registry = esp_obs::Registry::new();
@@ -344,20 +383,10 @@ mod tests {
             vec![(Ts::ZERO, vec![tup(Ts::ZERO, 1), tup(Ts::ZERO, 2)])],
         )));
         let left = df
-            .add_operator(
-                Box::new(FilterOp::new("=1", |t: &Tuple| {
-                    t.value(0).as_i64() == Some(1)
-                })),
-                &[src],
-            )
+            .add_operator(Box::new(filter("=1", |v| v == 1)), &[src])
             .unwrap();
         let right = df
-            .add_operator(
-                Box::new(FilterOp::new("=2", |t: &Tuple| {
-                    t.value(0).as_i64() == Some(2)
-                })),
-                &[src],
-            )
+            .add_operator(Box::new(filter("=2", |v| v == 2)), &[src])
             .unwrap();
         let u = df
             .add_operator(Box::new(UnionOp::new(2)), &[left, right])
@@ -395,32 +424,58 @@ mod tests {
             vec![(Ts::ZERO, vec![tup(Ts::ZERO, 2)])],
         )));
         let u = df.add_operator(Box::new(UnionOp::new(2)), &[a, b]).unwrap();
-        // Counts flushes by emitting exactly one tuple per flush.
-        let counter = df
-            .add_operator(
-                Box::new(EpochFnOp::new(
-                    "flush-counter",
-                    |epoch: Ts, input: Vec<Tuple>| {
-                        let schema = Schema::builder().field("n", DataType::Int).build().unwrap();
-                        Ok(vec![Tuple::new(
-                            schema,
-                            epoch,
-                            vec![Value::Int(input.len() as i64)],
-                        )?])
-                    },
-                )),
-                &[u],
-            )
-            .unwrap();
+        let (rec, log) = recorder();
+        let counter = df.add_operator(rec, &[u]).unwrap();
         let tap = df.add_tap(counter).unwrap();
         let mut runner = EpochRunner::new(df);
         runner.step(Ts::ZERO).unwrap();
-        let trace = runner.take_tap(tap);
-        assert_eq!(trace[0].1.len(), 1, "exactly one flush");
         assert_eq!(
-            trace[0].1[0].value(0),
-            &Value::Int(2),
-            "union delivered both inputs"
+            *log.lock().unwrap(),
+            ["rows 2", "flush"],
+            "exactly one flush, after the union delivered both inputs"
         );
+        let trace = runner.take_tap(tap);
+        assert_eq!(values(&trace[0].1), [1, 2]);
+    }
+
+    #[test]
+    fn runner_hands_rows_and_chunks_through_unchanged() {
+        let schema = Schema::builder().field("v", DataType::Int).build().unwrap();
+        let chunk = |ts: Ts, vals: &[i64]| {
+            let rows: Vec<Tuple> = vals
+                .iter()
+                .map(|&v| Tuple::new(schema.clone(), ts, vec![Value::Int(v)]).unwrap())
+                .collect();
+            Chunk::from_tuples(&schema, &rows).unwrap()
+        };
+        let t1 = Ts::from_secs(1);
+        let mut df = Dataflow::new();
+        let cols = df.add_source(Box::new(ScriptedChunkSource::new(
+            "chunks",
+            vec![(Ts::ZERO, chunk(Ts::ZERO, &[1, 2])), (t1, chunk(t1, &[5]))],
+        )));
+        let rows = df.add_source(Box::new(ScriptedSource::new(
+            "rows",
+            vec![(Ts::ZERO, vec![tup(Ts::ZERO, 3), tup(Ts::ZERO, 4)])],
+        )));
+        let u = df
+            .add_operator(Box::new(UnionOp::new(2)), &[cols, rows])
+            .unwrap();
+        let (rec, log) = recorder();
+        let r = df.add_operator(rec, &[u]).unwrap();
+        let tap = df.add_tap(r).unwrap();
+        let mut runner = EpochRunner::new(df);
+
+        // Both sources emit: the mixed epoch is demoted to rows, in port
+        // order (the chunk source is port 0).
+        runner.step(Ts::ZERO).unwrap();
+        assert_eq!(values(&runner.tap(tap)[0].1), [1, 2, 3, 4]);
+        assert_eq!(*log.lock().unwrap(), ["rows 4", "flush"]);
+
+        // Only the chunk source emits: the union forwards it columnar.
+        log.lock().unwrap().clear();
+        runner.step(t1).unwrap();
+        assert_eq!(values(&runner.tap(tap)[1].1), [5]);
+        assert_eq!(*log.lock().unwrap(), ["chunks 1", "flush"]);
     }
 }

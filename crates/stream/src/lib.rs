@@ -10,15 +10,18 @@
 //! * [`WindowBuffer`] — time-based sliding-window buffers with eviction,
 //!   the mechanism behind the paper's *temporal granule* (`[Range By …]`).
 //! * [`Operator`] / [`Source`] — the push-based operator protocol. An
-//!   operator receives batches on input ports during an epoch and emits its
-//!   output when the epoch is flushed (punctuation).
+//!   operator receives one [`Payload`] (rows or columnar chunks) per input
+//!   port during an epoch and emits its output payload when the epoch is
+//!   flushed (punctuation).
 //! * [`Dataflow`] — a DAG of sources and operators with output taps.
 //! * [`EpochRunner`] — the deterministic push-based scheduler: advances
 //!   logical time epoch by epoch, pushing each node's output to its
 //!   consumers in topological order. Parallelism lives one level up, in
 //!   the sharded gateway (`esp-gateway`), which runs one `EpochRunner`
 //!   per shard.
-//! * [`ops`] — generic building-block operators (filter, map, union, …).
+//! * [`ops`] — the connector operators (map, union, pass-through) and
+//!   [`ops::SegBuf`], the input buffer that keeps an epoch columnar
+//!   when every arrival was a chunk.
 //! * [`StageState`] / [`Checkpointable`] — epoch-boundary capture and
 //!   restore of operator state, the substrate of `esp-durability`'s
 //!   epoch-aligned checkpoint protocol.

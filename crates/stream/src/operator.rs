@@ -1,6 +1,6 @@
 //! The push-based operator protocol.
 
-use esp_types::{Batch, Chunk, Result, Ts, Tuple};
+use esp_types::{Batch, Chunk, Result, Ts};
 
 use crate::state::{unexpected_state, StageState};
 
@@ -8,10 +8,10 @@ use crate::state::{unexpected_state, StageState};
 /// (the original representation, still used by UDF/arbitrary-code stages)
 /// or schema-uniform columnar chunks (the hot path).
 ///
-/// The two forms are interchangeable — [`Payload::into_rows`] is lossless —
-/// so every consumer can handle either; chunk-aware operators keep the
-/// columnar form end-to-end and row-only operators transparently receive
-/// rows through the [`Operator::push_chunk`] compat shim.
+/// The two forms are interchangeable — [`Payload::to_rows`] is lossless —
+/// so every consumer can handle either. Operators buffer arrivals in an
+/// [`ops::SegBuf`](crate::ops::SegBuf), the one place that decides whether
+/// an epoch stays columnar or is demoted to rows.
 #[derive(Debug, Clone)]
 pub enum Payload {
     /// Row-at-a-time batch.
@@ -39,16 +39,8 @@ impl Payload {
         self.len() == 0
     }
 
-    /// Materialize as rows (identity for `Rows`; lossless chunk-to-tuple
+    /// Materialize as rows (a copy for `Rows`; lossless chunk-to-tuple
     /// conversion otherwise, preserving stream order).
-    pub fn into_rows(self) -> Batch {
-        match self {
-            Payload::Rows(b) => b,
-            Payload::Chunks(cs) => cs.iter().flat_map(Chunk::to_tuples).collect(),
-        }
-    }
-
-    /// Materialize as rows without consuming.
     pub fn to_rows(&self) -> Batch {
         match self {
             Payload::Rows(b) => b.clone(),
@@ -84,9 +76,9 @@ pub trait Source: Send {
 
 /// A push-based stream operator.
 ///
-/// During an epoch the scheduler delivers zero or more batches to each
-/// input port via [`Operator::push`]; when every input for the epoch has
-/// been delivered it calls [`Operator::flush`] (the punctuation), at which
+/// During an epoch the scheduler delivers each input port's [`Payload`]
+/// via [`Operator::push`]; when every input for the epoch has been
+/// delivered it calls [`Operator::flush`] (the punctuation), at which
 /// point the operator emits its output for the epoch. Stateless operators
 /// can transform inside `push` and drain in `flush`; windowed operators
 /// buffer in `push` and compute over the window in `flush`.
@@ -102,28 +94,12 @@ pub trait Operator: Send {
         1
     }
 
-    /// Deliver one batch on input port `port` (0-based).
-    fn push(&mut self, port: usize, batch: &[Tuple]) -> Result<()>;
-
-    /// Deliver one columnar chunk on input port `port`. The default is the
-    /// row-compat shim — it materializes the chunk and delivers it through
-    /// [`Operator::push`], so every existing operator (UDF stages,
-    /// arbitrary code) keeps working unmodified. Chunk-aware operators
-    /// override this to consume the columns in place.
-    fn push_chunk(&mut self, port: usize, chunk: &Chunk) -> Result<()> {
-        self.push(port, &chunk.to_tuples())
-    }
+    /// Deliver one epoch's input on port `port` (0-based).
+    fn push(&mut self, port: usize, input: &Payload) -> Result<()>;
 
     /// Epoch boundary: all input for `epoch` has been delivered. Emit the
     /// operator's output for this epoch.
-    fn flush(&mut self, epoch: Ts) -> Result<Batch>;
-
-    /// Epoch boundary, payload form: the default wraps [`Operator::flush`]
-    /// in rows. Chunk-forwarding operators override it to hand columnar
-    /// batches downstream without materializing.
-    fn flush_payload(&mut self, epoch: Ts) -> Result<Payload> {
-        Ok(Payload::Rows(self.flush(epoch)?))
-    }
+    fn flush(&mut self, epoch: Ts) -> Result<Payload>;
 
     /// Capture cross-epoch state for a durability checkpoint. Called only
     /// at epoch boundaries (after `flush`, before the next `push`). The
@@ -249,7 +225,7 @@ impl Source for ScriptedChunkSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esp_types::{DataType, Schema, Value};
+    use esp_types::{DataType, Schema, Tuple, Value};
 
     fn tup(ts: Ts, v: i64) -> Tuple {
         let schema = Schema::builder().field("v", DataType::Int).build().unwrap();

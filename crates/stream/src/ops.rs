@@ -1,7 +1,7 @@
 //! Generic building-block operators.
 //!
-//! These are language-agnostic dataflow pieces; the query engine and the ESP
-//! stages compose or specialize them.
+//! These are language-agnostic dataflow pieces; the ESP processor composes
+//! them around its stages.
 
 use esp_types::{Batch, Chunk, Result, Ts, Tuple};
 
@@ -44,24 +44,42 @@ impl SegBuf {
         self.segs.is_empty()
     }
 
-    /// Append a run of rows (merged into a trailing row segment).
-    pub fn push_rows(&mut self, batch: &[Tuple]) {
-        if batch.is_empty() {
-            return;
-        }
-        if let Some(Seg::Rows(b)) = self.segs.last_mut() {
-            b.extend_from_slice(batch);
-        } else {
-            self.segs.push(Seg::Rows(batch.to_vec()));
+    /// Append one epoch input: rows are copied into a trailing row
+    /// segment, each chunk is cloned as its own segment.
+    pub fn push(&mut self, input: &Payload) {
+        match input {
+            Payload::Rows(batch) => {
+                if batch.is_empty() {
+                    return;
+                }
+                if let Some(Seg::Rows(b)) = self.segs.last_mut() {
+                    b.extend_from_slice(batch);
+                } else {
+                    self.segs.push(Seg::Rows(batch.clone()));
+                }
+            }
+            Payload::Chunks(chunks) => {
+                for c in chunks {
+                    self.push_chunk(c.clone());
+                }
+            }
         }
     }
 
-    /// Append one columnar chunk as its own segment.
-    pub fn push_chunk(&mut self, chunk: &Chunk) {
-        if chunk.is_empty() {
-            return;
+    /// Append one owned row (merged into a trailing row segment).
+    fn push_row(&mut self, t: Tuple) {
+        if let Some(Seg::Rows(b)) = self.segs.last_mut() {
+            b.push(t);
+        } else {
+            self.segs.push(Seg::Rows(vec![t]));
         }
-        self.segs.push(Seg::Chunk(chunk.clone()));
+    }
+
+    /// Append one owned chunk as its own segment.
+    fn push_chunk(&mut self, chunk: Chunk) {
+        if !chunk.is_empty() {
+            self.segs.push(Seg::Chunk(chunk));
+        }
     }
 
     /// Drain the buffer into a payload: columnar iff every arrival was a
@@ -115,56 +133,13 @@ impl Operator for PassThrough {
         "pass-through"
     }
 
-    fn push(&mut self, _port: usize, batch: &[Tuple]) -> Result<()> {
-        self.buf.push_rows(batch);
+    fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
+        self.buf.push(input);
         Ok(())
     }
 
-    fn push_chunk(&mut self, _port: usize, chunk: &Chunk) -> Result<()> {
-        self.buf.push_chunk(chunk);
-        Ok(())
-    }
-
-    fn flush(&mut self, _epoch: Ts) -> Result<Batch> {
-        Ok(self.buf.take().into_rows())
-    }
-
-    fn flush_payload(&mut self, _epoch: Ts) -> Result<Payload> {
+    fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
         Ok(self.buf.take())
-    }
-}
-
-/// Per-tuple filter driven by a predicate closure.
-pub struct FilterOp<F> {
-    name: String,
-    pred: F,
-    buf: Batch,
-}
-
-impl<F: Fn(&Tuple) -> bool + Send> FilterOp<F> {
-    /// Create a filter retaining tuples for which `pred` returns true.
-    pub fn new(name: impl Into<String>, pred: F) -> FilterOp<F> {
-        FilterOp {
-            name: name.into(),
-            pred,
-            buf: Batch::new(),
-        }
-    }
-}
-
-impl<F: Fn(&Tuple) -> bool + Send> Operator for FilterOp<F> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn push(&mut self, _port: usize, batch: &[Tuple]) -> Result<()> {
-        self.buf
-            .extend(batch.iter().filter(|t| (self.pred)(t)).cloned());
-        Ok(())
-    }
-
-    fn flush(&mut self, _epoch: Ts) -> Result<Batch> {
-        Ok(std::mem::take(&mut self.buf))
     }
 }
 
@@ -173,8 +148,8 @@ impl<F: Fn(&Tuple) -> bool + Send> Operator for FilterOp<F> {
 ///
 /// An optional whole-chunk transform ([`MapOp::with_chunk_fn`]) lets the
 /// operator consume and emit columnar batches without materializing rows;
-/// without one, chunk arrivals fall back to the per-tuple closure through
-/// the row-compat shim.
+/// without one, chunk arrivals are materialized and fed to the per-tuple
+/// closure.
 pub struct MapOp<F> {
     name: String,
     f: F,
@@ -206,37 +181,42 @@ impl<F: Fn(&Tuple) -> Result<Option<Tuple>> + Send> MapOp<F> {
     }
 }
 
+impl<F: Fn(&Tuple) -> Result<Option<Tuple>> + Send> MapOp<F> {
+    fn map_rows(&mut self, rows: &[Tuple]) -> Result<()> {
+        for t in rows {
+            if let Some(out) = (self.f)(t)? {
+                self.buf.push_row(out);
+            }
+        }
+        Ok(())
+    }
+}
+
 impl<F: Fn(&Tuple) -> Result<Option<Tuple>> + Send> Operator for MapOp<F> {
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn push(&mut self, _port: usize, batch: &[Tuple]) -> Result<()> {
-        for t in batch {
-            if let Some(out) = (self.f)(t)? {
-                self.buf.push_rows(std::slice::from_ref(&out));
-            }
-        }
-        Ok(())
-    }
-
-    fn push_chunk(&mut self, port: usize, chunk: &Chunk) -> Result<()> {
-        match &self.chunk_f {
-            Some(cf) => {
-                if let Some(out) = cf(chunk)? {
-                    self.buf.push_chunk(&out);
+    fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
+        match input {
+            Payload::Rows(batch) => self.map_rows(batch),
+            Payload::Chunks(chunks) => {
+                for c in chunks {
+                    match &self.chunk_f {
+                        Some(cf) => {
+                            if let Some(out) = cf(c)? {
+                                self.buf.push_chunk(out);
+                            }
+                        }
+                        None => self.map_rows(&c.to_tuples())?,
+                    }
                 }
                 Ok(())
             }
-            None => self.push(port, &chunk.to_tuples()),
         }
     }
 
-    fn flush(&mut self, _epoch: Ts) -> Result<Batch> {
-        Ok(self.buf.take().into_rows())
-    }
-
-    fn flush_payload(&mut self, _epoch: Ts) -> Result<Payload> {
+    fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
         Ok(self.buf.take())
     }
 }
@@ -268,57 +248,13 @@ impl Operator for UnionOp {
         self.n_inputs
     }
 
-    fn push(&mut self, _port: usize, batch: &[Tuple]) -> Result<()> {
-        self.buf.push_rows(batch);
+    fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
+        self.buf.push(input);
         Ok(())
     }
 
-    fn push_chunk(&mut self, _port: usize, chunk: &Chunk) -> Result<()> {
-        self.buf.push_chunk(chunk);
-        Ok(())
-    }
-
-    fn flush(&mut self, _epoch: Ts) -> Result<Batch> {
-        Ok(self.buf.take().into_rows())
-    }
-
-    fn flush_payload(&mut self, _epoch: Ts) -> Result<Payload> {
+    fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
         Ok(self.buf.take())
-    }
-}
-
-/// Wraps an arbitrary epoch function: buffers the epoch's input, then emits
-/// `f(epoch, input)`. This is the adapter ESP uses for stages implemented
-/// as "arbitrary code" (paper §3.3).
-pub struct EpochFnOp<F> {
-    name: String,
-    f: F,
-    buf: Batch,
-}
-
-impl<F: FnMut(Ts, Vec<Tuple>) -> Result<Batch> + Send> EpochFnOp<F> {
-    /// Create an operator from an epoch-level function.
-    pub fn new(name: impl Into<String>, f: F) -> EpochFnOp<F> {
-        EpochFnOp {
-            name: name.into(),
-            f,
-            buf: Batch::new(),
-        }
-    }
-}
-
-impl<F: FnMut(Ts, Vec<Tuple>) -> Result<Batch> + Send> Operator for EpochFnOp<F> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn push(&mut self, _port: usize, batch: &[Tuple]) -> Result<()> {
-        self.buf.extend_from_slice(batch);
-        Ok(())
-    }
-
-    fn flush(&mut self, epoch: Ts) -> Result<Batch> {
-        (self.f)(epoch, std::mem::take(&mut self.buf))
     }
 }
 
@@ -332,10 +268,16 @@ mod tests {
         Tuple::new(schema, Ts::ZERO, vec![Value::Int(v)]).unwrap()
     }
 
+    fn rows(vals: &[i64]) -> Payload {
+        Payload::Rows(vals.iter().map(|&v| tup(v)).collect())
+    }
+
     #[test]
     fn filter_drops_non_matching() {
-        let mut f = FilterOp::new("evens", |t: &Tuple| t.value(0).as_i64().unwrap() % 2 == 0);
-        f.push(0, &[tup(1), tup(2), tup(3), tup(4)]).unwrap();
+        let mut f = MapOp::new("evens", |t: &Tuple| {
+            Ok((t.value(0).as_i64().unwrap() % 2 == 0).then(|| t.clone()))
+        });
+        f.push(0, &rows(&[1, 2, 3, 4])).unwrap();
         let out = f.flush(Ts::ZERO).unwrap();
         assert_eq!(out.len(), 2);
         // Flush drains: second flush is empty.
@@ -356,8 +298,8 @@ mod tests {
                 Ok(None)
             }
         });
-        m.push(0, &[tup(4), tup(3)]).unwrap();
-        let out = m.flush(Ts::ZERO).unwrap();
+        m.push(0, &rows(&[4, 3])).unwrap();
+        let out = m.flush(Ts::ZERO).unwrap().to_rows();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value(0), &Value::Int(2));
     }
@@ -367,34 +309,16 @@ mod tests {
         let mut m = MapOp::new("boom", |_t: &Tuple| {
             Err(esp_types::EspError::Stage("boom".into()))
         });
-        assert!(m.push(0, &[tup(1)]).is_err());
+        assert!(m.push(0, &rows(&[1])).is_err());
     }
 
     #[test]
     fn union_merges_ports() {
         let mut u = UnionOp::new(3);
         assert_eq!(u.n_inputs(), 3);
-        u.push(0, &[tup(1)]).unwrap();
-        u.push(2, &[tup(2), tup(3)]).unwrap();
-        u.push(1, &[]).unwrap();
+        u.push(0, &rows(&[1])).unwrap();
+        u.push(2, &rows(&[2, 3])).unwrap();
+        u.push(1, &Payload::empty()).unwrap();
         assert_eq!(u.flush(Ts::ZERO).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn epoch_fn_sees_whole_epoch() {
-        let mut op = EpochFnOp::new("count", |epoch: Ts, input: Vec<Tuple>| {
-            let schema = Schema::builder().field("n", DataType::Int).build().unwrap();
-            Ok(vec![Tuple::new(
-                schema,
-                epoch,
-                vec![Value::Int(input.len() as i64)],
-            )
-            .unwrap()])
-        });
-        op.push(0, &[tup(1), tup(2)]).unwrap();
-        op.push(0, &[tup(3)]).unwrap();
-        let out = op.flush(Ts::from_secs(1)).unwrap();
-        assert_eq!(out[0].value(0), &Value::Int(3));
-        assert_eq!(out[0].ts(), Ts::from_secs(1));
     }
 }

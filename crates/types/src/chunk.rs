@@ -14,11 +14,6 @@
 //! enum verbatim. `Chunk ↔ Vec<Tuple>` round-trips therefore reproduce
 //! every value bit-for-bit, including `NaN` payloads and `-0.0`.
 //!
-//! A [`ColumnVec::Pruned`] variant stores nothing and reads back `NULL`
-//! for every row; the query engine's column pruner uses it to drop dead
-//! columns *physically* while keeping the schema (and therefore every
-//! compiled slot index) intact.
-//!
 //! Chunks do **not** require the `ts` column to be sorted — receptors may
 //! deliver readings out of order and conversion must not reorder them.
 //! Sorted-ts maintenance is the window buffer's job (`esp-stream`).
@@ -115,8 +110,8 @@ impl NullMask {
     }
 }
 
-/// One column of a [`Chunk`]: a typed vector plus null bitmap, or one of
-/// the two escape hatches (verbatim [`Value`]s, physically pruned).
+/// One column of a [`Chunk`]: a typed vector plus null bitmap, or the
+/// verbatim-[`Value`]s escape hatch.
 #[derive(Debug, Clone)]
 pub enum ColumnVec {
     /// Booleans.
@@ -158,12 +153,6 @@ pub enum ColumnVec {
     /// any column where a pushed value did not fit the typed
     /// representation exactly (losslessness beats packing).
     Values(Vec<Value>),
-    /// Physically dropped column: no storage, every read is `NULL`. The
-    /// schema keeps the field so slot indices stay valid.
-    Pruned {
-        /// Number of rows the column logically spans.
-        len: usize,
-    },
 }
 
 impl ColumnVec {
@@ -203,7 +192,6 @@ impl ColumnVec {
             ColumnVec::Str { data, .. } => data.len(),
             ColumnVec::TsCol { data, .. } => data.len(),
             ColumnVec::Values(v) => v.len(),
-            ColumnVec::Pruned { len } => *len,
         }
     }
 
@@ -255,7 +243,6 @@ impl ColumnVec {
                 }
             }
             ColumnVec::Values(v) => v[i].clone(),
-            ColumnVec::Pruned { .. } => Value::Null,
         })
     }
 
@@ -296,7 +283,6 @@ impl ColumnVec {
             | ColumnVec::Str { nulls, .. }
             | ColumnVec::TsCol { nulls, .. } => i >= self.len() || nulls.get(i),
             ColumnVec::Values(v) => v.get(i).is_none_or(Value::is_null),
-            ColumnVec::Pruned { .. } => true,
         }
     }
 
@@ -361,8 +347,8 @@ impl ColumnVec {
             }
             _ => {}
         }
-        // Mismatch (widened Int in a FLOAT column, unchecked-tuple drift,
-        // or a push into a pruned column): fall back to verbatim storage.
+        // Mismatch (widened Int in a FLOAT column or unchecked-tuple
+        // drift): fall back to verbatim storage.
         self.promote_to_values();
         match self {
             ColumnVec::Values(vals) => vals.push(v),
@@ -436,10 +422,6 @@ impl ColumnVec {
                 }
                 return;
             }
-            (ColumnVec::Pruned { len }, ColumnVec::Pruned { len: olen }) => {
-                *len += *olen;
-                return;
-            }
             _ => {}
         }
         self.promote_to_values();
@@ -487,7 +469,6 @@ impl ColumnVec {
             ColumnVec::Values(v) => {
                 v.drain(..n.min(v.len()));
             }
-            ColumnVec::Pruned { len } => *len = len.saturating_sub(n),
         }
     }
 
@@ -499,16 +480,9 @@ impl ColumnVec {
             self.push(v);
             return;
         }
-        match (&mut *self, &v) {
-            (ColumnVec::Values(vals), _) => {
-                vals.insert(i, v);
-                return;
-            }
-            (ColumnVec::Pruned { len }, Value::Null) => {
-                *len += 1;
-                return;
-            }
-            _ => {}
+        if let ColumnVec::Values(vals) = self {
+            vals.insert(i, v);
+            return;
         }
         // Typed columns: inserting into the bitmap needs a rebuild anyway,
         // so route through the verbatim representation only when the value
@@ -772,10 +746,7 @@ impl Chunk {
     pub fn clear(&mut self) {
         self.ts.clear();
         for (col, f) in self.cols.iter_mut().zip(self.schema.fields()) {
-            match col {
-                ColumnVec::Pruned { len } => *len = 0,
-                _ => *col = ColumnVec::for_type(f.data_type),
-            }
+            *col = ColumnVec::for_type(f.data_type);
         }
     }
 
@@ -842,16 +813,6 @@ impl Chunk {
             ts: self.ts.clone(),
             cols,
         })
-    }
-
-    /// Physically drop column `c`: storage is released and every read of
-    /// the column yields `NULL`. The schema keeps the field, so slot
-    /// indices and projections are unaffected.
-    pub fn drop_column(&mut self, c: usize) {
-        let len = self.len();
-        if let Some(col) = self.cols.get_mut(c) {
-            *col = ColumnVec::Pruned { len };
-        }
     }
 
     /// A borrowed view over the whole chunk.
@@ -1084,21 +1045,6 @@ mod tests {
         c.push_row(Ts::ZERO, &[Value::str("mixed")]).unwrap();
         assert_eq!(c.value_at(0, 0), Some(Value::Bool(true)));
         assert_eq!(c.value_at(1, 0), Some(Value::str("mixed")));
-    }
-
-    #[test]
-    fn pruned_column_reads_null_and_survives_round_trip() {
-        let s = registry::intern(&schema());
-        let tuples: Vec<Tuple> = (0..3)
-            .map(|i| Tuple::new_unchecked(Arc::clone(&s), Ts::from_millis(i as u64), row(i)))
-            .collect();
-        let mut c = Chunk::from_tuples(&s, &tuples).unwrap();
-        c.drop_column(2);
-        assert_eq!(c.value_at(1, 2), Some(Value::Null));
-        let back = c.to_tuples();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back[1].value(2), &Value::Null);
-        assert_eq!(back[1].value(0), &Value::Int(1));
     }
 
     #[test]
@@ -1367,8 +1313,5 @@ mod tests {
         col.drain_front(2);
         assert_eq!(col.len(), 1);
         assert_eq!(col.get(0), Some(Value::str("c")));
-        let mut pruned = ColumnVec::Pruned { len: 3 };
-        pruned.drain_front(2);
-        assert_eq!(pruned.len(), 1);
     }
 }

@@ -3,8 +3,9 @@
 
 use std::sync::Arc;
 
+use esp_core::{DeclarativeStage, StageOperator};
 use esp_query::aggregate::{AggregateFactory, AggregateState};
-use esp_query::{Engine, QueryOperator};
+use esp_query::{ContinuousQuery, Engine};
 use esp_stream::{Dataflow, EpochRunner, ScriptedSource};
 use esp_types::{
     well_known, Batch, DataType, EspError, Result, Schema, TimeDelta, Ts, Tuple, TupleBuilder,
@@ -21,6 +22,14 @@ fn rfid(ts: Ts, reader: i64, tag: &str) -> Tuple {
         .unwrap()
 }
 
+/// A single-stream query as a dataflow operator, wrapped the way the ESP
+/// processor deploys declarative stages.
+fn query_op(name: &str, q: ContinuousQuery) -> Box<StageOperator> {
+    Box::new(StageOperator::new(Box::new(
+        DeclarativeStage::new(name, q).unwrap(),
+    )))
+}
+
 #[test]
 fn query_operator_runs_inside_a_dataflow() {
     let engine = Engine::new();
@@ -32,12 +41,7 @@ fn query_operator_runs_inside_a_dataflow() {
         .map(|i| (Ts::from_secs(i), vec![rfid(Ts::from_secs(i), 0, "a")]))
         .collect();
     let src = df.add_source(Box::new(ScriptedSource::new("reader", script)));
-    let op = df
-        .add_operator(
-            Box::new(QueryOperator::single_input("smooth", q).unwrap()),
-            &[src],
-        )
-        .unwrap();
+    let op = df.add_operator(query_op("smooth", q), &[src]).unwrap();
     let tap = df.add_tap(op).unwrap();
     let mut runner = EpochRunner::new(df);
     runner.run(Ts::ZERO, TimeDelta::from_secs(1), 10).unwrap();
@@ -166,8 +170,8 @@ fn user_defined_aggregate_median() {
 #[test]
 fn union_of_smoothed_streams_feeds_arbitrate_query() {
     // The paper runs Arbitrate "over the union of the streams produced by
-    // Query 2" — two QueryOperators unioned into a third inside one
-    // dataflow.
+    // Query 2" — two query-backed operators unioned into a third inside
+    // one dataflow.
     let engine = Engine::new();
     let smooth_sql = "SELECT spatial_granule, tag_id, count(*) \
                       FROM smooth_input [Range By '2 sec'] \
@@ -211,19 +215,13 @@ fn union_of_smoothed_streams_feeds_arbitrate_query() {
     let s1 = df.add_source(Box::new(ScriptedSource::new("r1", r1)));
     let q0 = df
         .add_operator(
-            Box::new(
-                QueryOperator::single_input("smooth0", engine.compile(smooth_sql).unwrap())
-                    .unwrap(),
-            ),
+            query_op("smooth0", engine.compile(smooth_sql).unwrap()),
             &[s0],
         )
         .unwrap();
     let q1 = df
         .add_operator(
-            Box::new(
-                QueryOperator::single_input("smooth1", engine.compile(smooth_sql).unwrap())
-                    .unwrap(),
-            ),
+            query_op("smooth1", engine.compile(smooth_sql).unwrap()),
             &[s1],
         )
         .unwrap();
@@ -232,9 +230,7 @@ fn union_of_smoothed_streams_feeds_arbitrate_query() {
         .unwrap();
     let arb = df
         .add_operator(
-            Box::new(
-                QueryOperator::single_input("arbitrate", engine.compile(arb_sql).unwrap()).unwrap(),
-            ),
+            query_op("arbitrate", engine.compile(arb_sql).unwrap()),
             &[union],
         )
         .unwrap();
